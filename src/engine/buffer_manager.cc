@@ -1,9 +1,6 @@
 #include "engine/buffer_manager.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "format/builder.h"
 
 namespace sirius::engine {
 
@@ -19,21 +16,6 @@ BufferManager::BufferManager(Options options)
       device_mem_(/*capacity=*/0, "device-hbm"),
       pool_(&device_mem_, options.pool_bytes),
       processing_reservations_(processing_capacity_, "processing-region") {}
-
-namespace {
-
-/// Deep copy of one column (host format -> Sirius caching region; both are
-/// Arrow-derived, but crossing the host boundary on the cold path copies).
-Result<ColumnPtr> DeepCopyColumn(const ColumnPtr& col) {
-  format::ColumnBuilder b(col->type());
-  b.Reserve(col->length());
-  for (size_t i = 0; i < col->length(); ++i) {
-    SIRIUS_RETURN_NOT_OK(b.AppendScalar(col->GetScalar(i)));
-  }
-  return b.Finish();
-}
-
-}  // namespace
 
 bool BufferManager::EvictUntilFits(uint64_t needed,
                                    const std::vector<CacheKey>& pinned,
@@ -107,19 +89,13 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
       const ColumnPtr& host_col = host_table->column(c);
       const uint64_t raw = host_col->MemoryUsage();
       CacheEntry entry;
-      if (options_.compress_cache) {
-        SIRIUS_ASSIGN_OR_RETURN(format::EncodedColumn encoded,
-                                format::Encode(host_col));
-        entry.encoded = std::make_shared<format::EncodedColumn>(
-            std::move(encoded));
-        entry.modeled_bytes = static_cast<uint64_t>(
-            static_cast<double>(entry.encoded->CompressedBytes()) *
-            sim.data_scale);
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(entry.plain, DeepCopyColumn(host_col));
-        entry.modeled_bytes = static_cast<uint64_t>(
-            static_cast<double>(raw) * sim.data_scale);
-      }
+      SIRIUS_ASSIGN_OR_RETURN(format::EncodedColumn encoded,
+                              format::Encode(host_col));
+      entry.encoded =
+          std::make_shared<format::EncodedColumn>(std::move(encoded));
+      entry.modeled_bytes = static_cast<uint64_t>(
+          static_cast<double>(entry.encoded->CompressedBytes()) *
+          sim.data_scale);
       if (!EvictUntilFits(entry.modeled_bytes, keys, sim.hazards)) {
         return Status::OutOfMemory(
             "caching region cannot fit column " + name + "." +
@@ -163,24 +139,16 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
       }
     }
 
-    const CacheEntry& entry = it->second;
-    if (entry.encoded != nullptr) {
-      // Decode on access: reads the compressed bytes at device bandwidth
-      // plus a per-value unpack op (FastLanes-style in-register decode).
-      SIRIUS_ASSIGN_OR_RETURN(ColumnPtr decoded, format::Decode(*entry.encoded));
-      sim::KernelCost cost;
-      cost.seq_bytes = entry.encoded->CompressedBytes() + decoded->MemoryUsage();
-      cost.rows = decoded->length();
-      cost.ops_per_row = 2.0;
-      sim.Charge(sim::OpCategory::kScan, cost);
-      out.push_back(std::move(decoded));
-    } else {
-      sim::KernelCost cost;
-      cost.seq_bytes = entry.plain->MemoryUsage();
-      cost.rows = entry.plain->length();
-      sim.Charge(sim::OpCategory::kScan, cost);
-      out.push_back(entry.plain);
-    }
+    // Decode on access: reads the compressed bytes at device bandwidth plus
+    // a per-value unpack op (FastLanes-style in-register decode).
+    const format::EncodedColumn& encoded = *it->second.encoded;
+    SIRIUS_ASSIGN_OR_RETURN(ColumnPtr decoded, format::Decode(encoded));
+    sim::KernelCost cost;
+    cost.seq_bytes = encoded.CompressedBytes() + decoded->MemoryUsage();
+    cost.rows = decoded->length();
+    cost.ops_per_row = 2.0;
+    sim.Charge(sim::OpCategory::kScan, cost);
+    out.push_back(std::move(decoded));
   }
   if (cold_bytes_raw > 0) {
     // Cold-path host->device transfer, bracketed by a "buffer" span so a

@@ -5,9 +5,9 @@
 // (intermediates). Caching is column-granular with LRU eviction, and cached
 // data is held lightweight-compressed (paper §3.4 cites FastLanes-class
 // compression as the capacity lever; we model its ratio). Also owns the
-// format boundaries: the deep copy from the host database's format on cold
-// load, and the uint64 (engine) <-> int32 (GDF/libcudf) row index
-// conversion the paper calls out.
+// format boundaries: encoding the host database's columns on cold load,
+// and the uint64 (engine) <-> int32 (GDF/libcudf) row index conversion the
+// paper calls out.
 
 #pragma once
 
@@ -43,9 +43,6 @@ class BufferManager {
     /// A-priori compression-ratio estimate, used only for the out-of-core
     /// sizing pre-check; actual cache accounting uses the real encoded size.
     double compression_ratio = 2.5;
-    /// Store cached columns lightweight-compressed (FOR-bitpack /
-    /// dictionary, §3.4); scans decode on access at modeled bandwidth.
-    bool compress_cache = true;
     /// Actual pool bytes backing the processing region allocator.
     uint64_t pool_bytes = 64ull << 20;
     /// When set, processing_resource() returns this instead of the built-in
@@ -157,10 +154,9 @@ class BufferManager {
     }
   };
   struct CacheEntry {
-    /// Compressed representation (compress_cache) ...
+    /// Lightweight-compressed representation (FOR-bitpack / dictionary,
+    /// §3.4); scans decode on access at modeled bandwidth.
     std::shared_ptr<format::EncodedColumn> encoded;
-    /// ... or the plain column (compress_cache off).
-    format::ColumnPtr plain;
     uint64_t modeled_bytes = 0;  ///< resident (compressed) bytes * data_scale
     std::list<CacheKey>::iterator lru_pos;
     /// LifetimeTracker generation minted at load, retired at eviction.

@@ -10,13 +10,23 @@ using plan::PlanPtr;
 
 namespace {
 
-bool IsBreaker(const PlanNode& node) {
-  switch (node.kind) {
+/// The sink a pipeline-breaker node becomes; false for streaming nodes.
+bool BreakerSink(PlanKind kind, SinkKind* sink) {
+  switch (kind) {
     case PlanKind::kAggregate:
+      *sink = SinkKind::kAggregate;
+      return true;
     case PlanKind::kSort:
+      *sink = SinkKind::kSort;
+      return true;
     case PlanKind::kDistinct:
+      *sink = SinkKind::kDistinct;
+      return true;
     case PlanKind::kLimit:
+      *sink = SinkKind::kLimit;
+      return true;
     case PlanKind::kExchange:
+      *sink = SinkKind::kExchange;
       return true;
     default:
       return false;
@@ -34,33 +44,13 @@ class Compiler {
     out_->push_back(std::move(p));
     const int id = out_->back().id;
 
-    if (IsBreaker(*node)) {
-      SIRIUS_RETURN_NOT_OK(BuildInto(node->children[0].get(), id));
-      Pipeline& self = (*out_)[id];
-      self.sink_node = node;
-      switch (node->kind) {
-        case PlanKind::kAggregate:
-          self.sink = SinkKind::kAggregate;
-          break;
-        case PlanKind::kSort:
-          self.sink = SinkKind::kSort;
-          break;
-        case PlanKind::kDistinct:
-          self.sink = SinkKind::kDistinct;
-          break;
-        case PlanKind::kLimit:
-          self.sink = SinkKind::kLimit;
-          break;
-        case PlanKind::kExchange:
-          self.sink = SinkKind::kExchange;
-          break;
-        default:
-          return Status::Internal("not a breaker");
-      }
-      return id;
-    }
-    SIRIUS_RETURN_NOT_OK(BuildInto(node, id));
-    (*out_)[id].sink = SinkKind::kMaterialize;
+    // A breaker is the sink over its child's chain; any other node is
+    // materialized as the pipeline's plain output.
+    SinkKind sink = SinkKind::kMaterialize;
+    const bool breaker = BreakerSink(node->kind, &sink);
+    SIRIUS_RETURN_NOT_OK(
+        BuildInto(breaker ? node->children[0].get() : node, id));
+    (*out_)[id].sink = sink;
     (*out_)[id].sink_node = node;
     return id;
   }
@@ -119,24 +109,8 @@ Result<int> PipelineCompiler::Compile(const PlanPtr& plan,
   return compiler.Materialize(plan.get());
 }
 
-namespace {
-
-/// Nominal estimated width of one output row of `schema`, in bytes.
-/// Variable-width fields (strings) count a nominal 16 bytes.
-double EstimatedRowWidth(const format::Schema& schema) {
-  double width = 0;
-  for (size_t f = 0; f < schema.num_fields(); ++f) {
-    const int w = schema.field(f).type.byte_width();
-    width += w > 0 ? w : 16;
-  }
-  return width;
-}
-
-}  // namespace
-
 std::vector<FusedStage> FusedStageCompiler::Compile(
-    const std::vector<Pipeline>& pipelines, const sim::DeviceProfile& device,
-    double data_scale, bool fusion_enabled) {
+    const std::vector<Pipeline>& pipelines, bool fusion_enabled) {
   std::vector<FusedStage> out(pipelines.size());
   for (const auto& p : pipelines) {
     FusedStage& stage = out[p.id];
@@ -149,78 +123,26 @@ std::vector<FusedStage> FusedStageCompiler::Compile(
       continue;
     }
     // Exclusions: chains the selection-vector flow cannot express.
-    bool excluded = false;
     for (const auto& s : p.steps) {
       if (s.kind == StepKind::kCrossJoin) {
         stage.reason = "cross join";
-        excluded = true;
-        break;
+      } else if (s.kind == StepKind::kProbeJoin &&
+                 s.node->join_type == plan::JoinType::kAsof) {
+        stage.reason = "asof join";
+      } else if (s.kind == StepKind::kProbeJoin && s.node->residual != nullptr) {
+        stage.reason = "residual join predicate";
       }
-      if (s.kind == StepKind::kProbeJoin) {
-        if (s.node->join_type == plan::JoinType::kAsof) {
-          stage.reason = "asof join";
-          excluded = true;
-          break;
-        }
-        if (s.node->residual != nullptr) {
-          stage.reason = "residual join predicate";
-          excluded = true;
-          break;
-        }
-      }
+      if (!stage.reason.empty()) break;
     }
-    if (excluded) continue;
-
-    std::vector<opt::FusionStepDesc> descs;
-    for (const auto& s : p.steps) {
-      opt::FusionStepDesc d;
-      switch (s.kind) {
-        case StepKind::kFilter:
-          d.kind = opt::FusedOpKind::kFilter;
-          // Materialized filter pays mask compaction plus a full gather.
-          d.materialize_launches = 2;
-          break;
-        case StepKind::kProject:
-          d.kind = opt::FusedOpKind::kProject;
-          // Projected columns are compact either way; only the dispatch
-          // differs.
-          d.materialize_launches = 1;
-          break;
-        case StepKind::kProbeJoin:
-        case StepKind::kCrossJoin:
-          d.kind = opt::FusedOpKind::kProbe;
-          // Materialized probe gathers both sides of the join output.
-          d.materialize_launches = 2;
-          break;
-      }
-      d.est_rows_out = s.node->estimated_rows;
-      if (d.est_rows_out >= 0) {
-        d.est_bytes_out =
-            d.est_rows_out * EstimatedRowWidth(s.node->output_schema);
-      }
-      descs.push_back(d);
-    }
-    const opt::FusionDecision decision =
-        opt::PriceFusion(device, descs, data_scale);
-    if (!decision.fuse) {
-      stage.reason = "not priced profitable";
-      continue;
-    }
+    if (!stage.reason.empty()) continue;
     stage.exec = StageExec::kFused;
     stage.fused_ops = static_cast<int>(p.steps.size());
-    stage.credit_s = decision.credit_s;
-    stage.saved_bytes = decision.saved_bytes;
-    stage.saved_launches = decision.saved_launches;
   }
   return out;
 }
 
-std::string PipelinesToString(const std::vector<Pipeline>& pipelines) {
-  return PipelinesToString(pipelines, nullptr);
-}
-
 std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
-                              const std::vector<FusedStage>* stages) {
+                              const std::vector<FusedStage>& stages) {
   std::ostringstream os;
   for (const auto& p : pipelines) {
     os << "pipeline " << p.id << ": ";
@@ -268,14 +190,11 @@ std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
         os << " => exchange";
         break;
     }
-    if (stages != nullptr && static_cast<size_t>(p.id) < stages->size()) {
-      const FusedStage& st = (*stages)[p.id];
-      if (st.exec == StageExec::kFused) {
-        os << "  [fused ops=" << st.fused_ops
-           << " saved_launches=" << st.saved_launches << "]";
-      } else {
-        os << "  [materialized: " << st.reason << "]";
-      }
+    const FusedStage& st = stages[p.id];
+    if (st.exec == StageExec::kFused) {
+      os << "  [fused ops=" << st.fused_ops << "]";
+    } else {
+      os << "  [materialized: " << st.reason << "]";
     }
     os << "\n";
   }

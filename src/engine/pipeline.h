@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "opt/fusion.h"
 #include "plan/plan.h"
-#include "sim/device.h"
 
 namespace sirius::engine {
 
@@ -81,37 +79,27 @@ struct FusedStage {
   StageExec exec = StageExec::kMaterialized;
   /// Steps flowing through the fused pass (0 when materialized).
   int fused_ops = 0;
-  /// Modeled seconds the fusion is priced to save (opt::PriceFusion).
-  double credit_s = 0;
-  /// HBM round-trip bytes the fusion skips (unscaled estimate).
-  uint64_t saved_bytes = 0;
-  /// Kernel launches skipped relative to the materialized chain.
-  int saved_launches = 0;
   /// Why the stage stays materialized (empty when fused).
   std::string reason;
 };
 
 /// \brief Decides, per pipeline, whether its streaming chain runs fused.
 ///
-/// Describes each chain abstractly (opt::FusionStepDesc, from planner
-/// estimates) and lets opt::PriceFusion credit the skipped materializations
-/// and launches. Chains the selection-vector machinery cannot express —
-/// cross joins, ASOF joins, residual join predicates — stay materialized
-/// with a recorded reason.
+/// Structural rule: a pipeline fuses iff fusion is enabled, it has at least
+/// one step, and no step is one the selection-vector machinery cannot
+/// express — a cross join, an ASOF join or a probe with a residual join
+/// predicate. Everything else stays materialized with a recorded reason.
 class FusedStageCompiler {
  public:
   /// One FusedStage per pipeline, indexed by pipeline id. With
   /// `fusion_enabled` false every stage is kMaterialized ("fusion disabled").
   static std::vector<FusedStage> Compile(const std::vector<Pipeline>& pipelines,
-                                         const sim::DeviceProfile& device,
-                                         double data_scale,
                                          bool fusion_enabled);
 };
 
-/// Human-readable dump of a pipeline set (tests, EXPLAIN ANALYZE).
-std::string PipelinesToString(const std::vector<Pipeline>& pipelines);
-/// As above, annotated with each pipeline's fused-stage decision.
+/// Human-readable dump of a pipeline set annotated with each pipeline's
+/// fused-stage decision (tests, EXPLAIN ANALYZE).
 std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
-                              const std::vector<FusedStage>* stages);
+                              const std::vector<FusedStage>& stages);
 
 }  // namespace sirius::engine

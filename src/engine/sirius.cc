@@ -27,11 +27,6 @@ using plan::PlanPtr;
 // Device-memory fault site: a firing check models an allocation failing in
 // the processing region (the paper's GPU OOM, §3.4).
 SIRIUS_FAULT_DEFINE_SITE(kSiteReserve, "engine.reserve");
-// Fused-stage compile fault site: a firing check models the fusion compiler
-// rejecting the plan (e.g. an unexpected chain shape); the engine degrades
-// the whole run to materialized step-at-a-time execution instead of failing
-// the query.
-SIRIUS_FAULT_DEFINE_SITE(kSiteFuseCompile, "engine.fuse.compile");
 
 SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
     : host_db_(host_db),
@@ -62,7 +57,6 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
   counters_.race_violations = metrics_.GetCounter("engine.race_violations");
   counters_.deadline_cancels = metrics_.GetCounter("engine.deadline_cancels");
   counters_.fused_stages = metrics_.GetCounter("engine.fused_stages");
-  counters_.fusion_fallbacks = metrics_.GetCounter("engine.fusion_fallbacks");
   if (options_.use_custom_kernels) {
     // Hand-tuned kernel variants: modestly better join/group-by efficiency
     // than the stock libcudf-class implementations.
@@ -82,6 +76,59 @@ constexpr uint64_t kPipelineResourceBase = 1ull << 32;
 
 uint64_t PipelineResource(int id) {
   return kPipelineResourceBase + static_cast<uint64_t>(id);
+}
+
+/// Plan join type -> gdf hash-join type (cross and ASOF joins run their own
+/// kernels).
+Result<gdf::JoinType> HashJoinType(plan::JoinType type) {
+  switch (type) {
+    case plan::JoinType::kInner:
+      return gdf::JoinType::kInner;
+    case plan::JoinType::kLeft:
+      return gdf::JoinType::kLeft;
+    case plan::JoinType::kSemi:
+      return gdf::JoinType::kSemi;
+    case plan::JoinType::kAnti:
+      return gdf::JoinType::kAnti;
+    case plan::JoinType::kCross:
+    case plan::JoinType::kAsof:
+      break;
+  }
+  return Status::Internal(std::string("no hash join for join type ") +
+                          plan::JoinTypeName(type));
+}
+
+/// Round-trips GDF indices through the engine's row ids: Sirius keeps uint64
+/// row ids, GDF (libcudf) gathers take int32, and both conversions are real
+/// copies (§3.2.3's stated conversion boundary).
+Status CrossIndexBoundary(std::vector<gdf::index_t>* indices,
+                          const sim::SimContext& sim) {
+  const std::vector<uint64_t> engine_rows =
+      BufferManager::FromGdfIndices(*indices, sim);
+  SIRIUS_ASSIGN_OR_RETURN(*indices,
+                          BufferManager::ToGdfIndices(engine_rows, sim));
+  return Status::OK();
+}
+
+/// An aggregate sink's output key names and gdf aggregate requests.
+struct AggregateSpec {
+  std::vector<std::string> key_names;
+  std::vector<gdf::AggRequest> aggs;
+};
+
+AggregateSpec MakeAggregateSpec(const PlanNode& node) {
+  AggregateSpec spec;
+  for (size_t k = 0; k < node.group_by.size(); ++k) {
+    spec.key_names.push_back(node.output_schema.field(k).name);
+  }
+  for (size_t a = 0; a < node.aggregates.size(); ++a) {
+    gdf::AggRequest req;
+    req.kind = host::ToGdfAgg(node.aggregates[a].func);
+    req.column = node.aggregates[a].arg_column;
+    req.name = node.output_schema.field(node.group_by.size() + a).name;
+    spec.aggs.push_back(std::move(req));
+  }
+  return spec;
 }
 
 class PipelineRunner {
@@ -312,46 +359,24 @@ class PipelineRunner {
                             "pipeline-" + std::to_string(p.id), "pipeline",
                             ctx.sim.TraceClock());
 
-    const bool fused = stages_ != nullptr &&
-                       static_cast<size_t>(p.id) < stages_->size() &&
-                       (*stages_)[p.id].exec == StageExec::kFused;
-
-    // --- Source ---
     TablePtr current;
     if (p.source_scan != nullptr) {
-      if (fused) {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunScanFused(p, ctx));
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunScanAndSteps(p, ctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSink(p, std::move(current), ctx));
-      }
-      SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
-      return current;
-    }
-    if (p.source_pipeline >= 0) {
+      SIRIUS_ASSIGN_OR_RETURN(current, RunScan(p, ctx));
+    } else if (p.source_pipeline >= 0) {
       current = results_[p.source_pipeline];
       if (current == nullptr) {
         return Status::Internal("source pipeline did not materialize");
       }
       ctx.sim.NoteRead(PipelineResource(p.source_pipeline),
                        "source of pipeline " + std::to_string(p.id));
-      if (fused) {
-        gdf::SelectionView view = gdf::SelectionView::FromTable(current);
-        // One register-residency scope for the chain + its sink: every
-        // input column is charged once for the whole fused kernel.
-        std::unordered_set<const format::Column*> resident;
-        gdf::Context fctx = ctx;
-        fctx.fused_reads = &resident;
-        SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSinkFused(p, view, fctx));
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSteps(p, std::move(current), ctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSink(p, std::move(current), ctx));
-      }
-      SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
-      return current;
+      SIRIUS_ASSIGN_OR_RETURN(
+          current, RunChain(p, std::move(current), /*scanned=*/false,
+                            /*batch=*/false, ctx));
+    } else {
+      return Status::Internal("pipeline without source");
     }
-    return Status::Internal("pipeline without source");
+    SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
+    return current;
   }
 
   /// Pipeline-end barrier on the spill lane: every outstanding prefetch must
@@ -373,10 +398,16 @@ class PipelineRunner {
     return Status::OK();
   }
 
+  /// True when `p` runs as one fused pass (this run's stage decision).
+  bool Fused(const Pipeline& p) const {
+    return (*stages_)[p.id].exec == StageExec::kFused;
+  }
+
   /// Scan source, including the §3.4 out-of-core batch mode: inputs that do
-  /// not fit the caching region stream from host memory in batches that are
-  /// pushed through the pipeline steps and concatenated before the sink.
-  Result<TablePtr> RunScanAndSteps(const Pipeline& p, const gdf::Context& ctx) {
+  /// not fit the caching region stream from host memory in batches, each
+  /// charged its host-link transfer and pushed through the chain up to the
+  /// morsel boundary; the concatenated batches then go through the sink.
+  Result<TablePtr> RunScan(const Pipeline& p, const gdf::Context& ctx) {
     const PlanNode& scan = *p.source_scan;
     SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
                             host_db_->catalog().GetTable(scan.table_name));
@@ -390,38 +421,75 @@ class PipelineRunner {
     const uint64_t compressed_bytes = static_cast<uint64_t>(
         static_cast<double>(modeled_bytes) / bm_->compression_ratio());
 
-    if (compressed_bytes > bm_->cache_capacity_bytes() && options_.out_of_core) {
-      // Batch execution: split the input so each modeled batch fits in half
-      // of the caching region, stream each batch over the host link.
-      const uint64_t budget = bm_->cache_capacity_bytes() / 2;
-      const size_t num_batches = static_cast<size_t>(
-          (modeled_bytes + budget - 1) / budget);
-      const size_t rows_per_batch =
-          (host_table->num_rows() + num_batches - 1) / num_batches;
-      std::vector<TablePtr> outputs;
-      for (size_t offset = 0; offset < host_table->num_rows();
-           offset += rows_per_batch) {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr batch,
-            gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
-        SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
-        ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
-                              options_.host_link.TransferSeconds(
-                                  batch->MemoryUsage(), ctx.sim.data_scale));
-        SIRIUS_ASSIGN_OR_RETURN(batch, RunSteps(p, std::move(batch), ctx));
-        outputs.push_back(std::move(batch));
-      }
-      if (outputs.size() == 1) return outputs[0];
-      return gdf::ConcatTables(ctx, outputs);
+    if (compressed_bytes <= bm_->cache_capacity_bytes() ||
+        !options_.out_of_core) {
+      // The buffer manager charges the scan read (compressed bytes + decode).
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr current,
+          bm_->GetOrCacheColumns(scan.table_name, host_table,
+                                 scan.scan_columns, ctx.sim));
+      return RunChain(p, std::move(current), /*scanned=*/true,
+                      /*batch=*/false, ctx);
     }
 
-    // The buffer manager charges the scan read (compressed bytes + decode
-    // when the cache is compressed).
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr current,
-        bm_->GetOrCacheColumns(scan.table_name, host_table, scan.scan_columns,
-                               ctx.sim));
-    return RunSteps(p, std::move(current), ctx);
+    // Batch execution: split the input so each modeled batch fits in half
+    // of the caching region, stream each batch over the host link.
+    const uint64_t budget = bm_->cache_capacity_bytes() / 2;
+    const size_t num_batches = static_cast<size_t>(
+        (modeled_bytes + budget - 1) / budget);
+    const size_t rows_per_batch =
+        (host_table->num_rows() + num_batches - 1) / num_batches;
+    std::vector<TablePtr> outputs;
+    for (size_t offset = 0; offset < host_table->num_rows();
+         offset += rows_per_batch) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr batch,
+          gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
+      SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
+      ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
+                            options_.host_link.TransferSeconds(
+                                batch->MemoryUsage(), ctx.sim.data_scale));
+      SIRIUS_ASSIGN_OR_RETURN(
+          batch, RunChain(p, std::move(batch), /*scanned=*/true,
+                          /*batch=*/true, ctx));
+      outputs.push_back(std::move(batch));
+    }
+    TablePtr all;
+    if (outputs.size() == 1) {
+      all = outputs[0];
+    } else {
+      SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
+      if (Fused(p)) SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all, p, ctx));
+    }
+    return RunSink(p, std::move(all), ctx);
+  }
+
+  /// The one runner body: pushes `input` through the pipeline's steps and
+  /// sink, either as one fused pass (selection vectors between the steps,
+  /// the sink the only materialization point) or step at a time (each step
+  /// gathers its full output). An out-of-core `batch` stops at the morsel
+  /// boundary, a real materialization; the caller sinks the concatenation.
+  /// `scanned` input was just read by the scan (or transferred on-device),
+  /// so a fused pass starts with its columns register-resident.
+  Result<TablePtr> RunChain(const Pipeline& p, TablePtr input, bool scanned,
+                            bool batch, const gdf::Context& ctx) {
+    if (!Fused(p)) {
+      SIRIUS_ASSIGN_OR_RETURN(input, RunSteps(p, std::move(input), ctx));
+      if (batch) return input;
+      return RunSink(p, std::move(input), ctx);
+    }
+    gdf::SelectionView view = gdf::SelectionView::FromTable(input);
+    // One register-residency scope for the chain + its sink: every input
+    // column is charged once for the whole fused kernel.
+    std::unordered_set<const format::Column*> resident;
+    if (scanned) {
+      for (const auto& c : input->columns()) resident.insert(c.get());
+    }
+    gdf::Context fctx = ctx;
+    fctx.fused_reads = &resident;
+    SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
+    if (batch) return MaterializeFused(p, view, fctx);
+    return RunSinkFused(p, view, fctx);
   }
 
   /// Schema of the fused chain's logical output (the last step's node).
@@ -430,82 +498,19 @@ class PipelineRunner {
     return p.steps.back().node->output_schema;
   }
 
-  /// Fused scan source: the in-core path runs the whole input as one morsel
-  /// through FusedPass and materializes at the sink; the §3.4 out-of-core
-  /// path runs one fused pass per batch — the morsel boundary is a
-  /// materialization point — concatenates, and applies the sink materialized.
-  Result<TablePtr> RunScanFused(const Pipeline& p, const gdf::Context& ctx) {
-    const PlanNode& scan = *p.source_scan;
-    SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
-                            host_db_->catalog().GetTable(scan.table_name));
-    uint64_t scanned_raw = 0;
-    for (int c : scan.scan_columns) {
-      scanned_raw += host_table->column(c)->MemoryUsage();
-    }
-    const uint64_t modeled_bytes =
-        static_cast<uint64_t>(static_cast<double>(scanned_raw) *
-                              ctx.sim.data_scale);
-    const uint64_t compressed_bytes = static_cast<uint64_t>(
-        static_cast<double>(modeled_bytes) / bm_->compression_ratio());
-
-    if (compressed_bytes > bm_->cache_capacity_bytes() && options_.out_of_core) {
-      const uint64_t budget = bm_->cache_capacity_bytes() / 2;
-      const size_t num_batches = static_cast<size_t>(
-          (modeled_bytes + budget - 1) / budget);
-      const size_t rows_per_batch =
-          (host_table->num_rows() + num_batches - 1) / num_batches;
-      std::vector<TablePtr> outputs;
-      for (size_t offset = 0; offset < host_table->num_rows();
-           offset += rows_per_batch) {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr batch,
-            gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
-        SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
-        ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
-                              options_.host_link.TransferSeconds(
-                                  batch->MemoryUsage(), ctx.sim.data_scale));
-        gdf::SelectionView view = gdf::SelectionView::FromTable(batch);
-        // Per-batch residency scope: the morsel boundary flushes registers.
-        // The transfer above already brought the batch on-device, so its
-        // columns start resident — the fused kernel reads them as it streams.
-        std::unordered_set<const format::Column*> resident;
-        for (const auto& c : batch->columns()) resident.insert(c.get());
-        gdf::Context fctx = ctx;
-        fctx.fused_reads = &resident;
-        SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr out, gdf::MaterializeView(fctx, view, StepOutputSchema(p),
-                                               sim::OpCategory::kOther));
-        // The morsel boundary is a real materialization: the batch output
-        // must fit the processing region like any materialized intermediate,
-        // and overflows take the same tiered spill round trip (§3.4).
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(out, p, fctx));
-        outputs.push_back(std::move(out));
-      }
-      TablePtr all;
-      if (outputs.size() == 1) {
-        all = outputs[0];
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all, p, ctx));
-      }
-      return RunSink(p, std::move(all), ctx);
-    }
-
+  /// Gathers a fused chain's view into a table. This is a real
+  /// materialization point (an out-of-core morsel boundary or the sink
+  /// gather): the table must fit the processing region like any
+  /// materialized intermediate, and overflows take the same tiered spill
+  /// round trip (§3.4).
+  Result<TablePtr> MaterializeFused(const Pipeline& p,
+                                    const gdf::SelectionView& view,
+                                    const gdf::Context& ctx) {
     SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr current,
-        bm_->GetOrCacheColumns(scan.table_name, host_table, scan.scan_columns,
-                               ctx.sim));
-    gdf::SelectionView view = gdf::SelectionView::FromTable(current);
-    // The scan charge above IS the fused kernel's read of the base columns:
-    // they enter the pass register-resident, so the chained operators and
-    // the sink never pay an HBM re-read for them.
-    std::unordered_set<const format::Column*> resident;
-    for (const auto& c : current->columns()) resident.insert(c.get());
-    gdf::Context fctx = ctx;
-    fctx.fused_reads = &resident;
-    SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-    return RunSinkFused(p, view, fctx);
+        TablePtr t, gdf::MaterializeView(ctx, view, StepOutputSchema(p),
+                                         sim::OpCategory::kOther));
+    SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t, p, ctx));
+    return t;
   }
 
   /// One fused pass over the chain: selection vectors flow between the
@@ -531,13 +536,8 @@ class PipelineRunner {
                                      sim::OpCategory::kFilter));
           SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
                                   gdf::MaskToSelection(inner, mask));
-          // uint64 <-> int32 boundary kept for parity with the materialized
-          // path (§3.2.3); the selection refines the view instead of
-          // gathering.
-          std::vector<uint64_t> engine_rows =
-              BufferManager::FromGdfIndices(sel, inner.sim);
-          SIRIUS_ASSIGN_OR_RETURN(
-              sel, BufferManager::ToGdfIndices(engine_rows, inner.sim));
+          // The selection refines the view instead of gathering.
+          SIRIUS_RETURN_NOT_OK(CrossIndexBoundary(&sel, inner.sim));
           SIRIUS_RETURN_NOT_OK(
               gdf::RefineView(inner, view, sel, sim::OpCategory::kFilter));
           break;
@@ -622,30 +622,10 @@ class PipelineRunner {
     }
 
     gdf::JoinOptions joptions;
-    switch (node.join_type) {
-      case plan::JoinType::kInner:
-        joptions.type = gdf::JoinType::kInner;
-        break;
-      case plan::JoinType::kLeft:
-        joptions.type = gdf::JoinType::kLeft;
-        break;
-      case plan::JoinType::kSemi:
-        joptions.type = gdf::JoinType::kSemi;
-        break;
-      case plan::JoinType::kAnti:
-        joptions.type = gdf::JoinType::kAnti;
-        break;
-      case plan::JoinType::kCross:
-      case plan::JoinType::kAsof:
-        return Status::Internal("join type cannot run fused");
-    }
+    SIRIUS_ASSIGN_OR_RETURN(joptions.type, HashJoinType(node.join_type));
     SIRIUS_ASSIGN_OR_RETURN(gdf::JoinResult pairs,
                             gdf::HashJoin(ctx, lkeys, rkeys, joptions));
-    // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
-    std::vector<uint64_t> engine_left =
-        BufferManager::FromGdfIndices(pairs.left_indices, ctx.sim);
-    SIRIUS_ASSIGN_OR_RETURN(pairs.left_indices,
-                            BufferManager::ToGdfIndices(engine_left, ctx.sim));
+    SIRIUS_RETURN_NOT_OK(CrossIndexBoundary(&pairs.left_indices, ctx.sim));
     const bool emits_right = node.join_type == plan::JoinType::kInner ||
                              node.join_type == plan::JoinType::kLeft;
     return gdf::ApplyJoinToView(
@@ -664,20 +644,9 @@ class PipelineRunner {
     switch (p.sink) {
       case SinkKind::kAggregate: {
         const PlanNode& node = *p.sink_node;
-        std::vector<std::string> key_names;
-        for (size_t k = 0; k < node.group_by.size(); ++k) {
-          key_names.push_back(node.output_schema.field(k).name);
-        }
-        std::vector<gdf::AggRequest> aggs;
-        for (size_t a = 0; a < node.aggregates.size(); ++a) {
-          gdf::AggRequest req;
-          req.kind = host::ToGdfAgg(node.aggregates[a].func);
-          req.column = node.aggregates[a].arg_column;
-          req.name = node.output_schema.field(node.group_by.size() + a).name;
-          aggs.push_back(std::move(req));
-        }
-        return gdf::GroupByAggregateView(ctx, view, node.group_by, key_names,
-                                         aggs);
+        const AggregateSpec spec = MakeAggregateSpec(node);
+        return gdf::GroupByAggregateView(ctx, view, node.group_by,
+                                         spec.key_names, spec.aggs);
       }
       case SinkKind::kLimit: {
         // The limit refines the selection before the chain's single gather,
@@ -700,13 +669,7 @@ class PipelineRunner {
                                     sim::OpCategory::kOther);
       }
       default: {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr t, gdf::MaterializeView(ctx, view, StepOutputSchema(p),
-                                             sim::OpCategory::kOther));
-        // The sink gather is the fused stage's materialization point; it
-        // pays the same fit check (and, out of core, the same spill round
-        // trip) the materialized path pays per intermediate.
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t, p, ctx));
+        SIRIUS_ASSIGN_OR_RETURN(TablePtr t, MaterializeFused(p, view, ctx));
         return RunSink(p, std::move(t), ctx);
       }
     }
@@ -723,12 +686,7 @@ class PipelineRunner {
                                  sim::OpCategory::kFilter));
           SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
                                   gdf::MaskToIndices(ctx, mask));
-          // Engine-side row ids are uint64; GDF gathers take int32
-          // (§3.2.3's stated conversion boundary).
-          std::vector<uint64_t> engine_rows =
-              BufferManager::FromGdfIndices(sel, ctx.sim);
-          SIRIUS_ASSIGN_OR_RETURN(sel, BufferManager::ToGdfIndices(engine_rows,
-                                                                   ctx.sim));
+          SIRIUS_RETURN_NOT_OK(CrossIndexBoundary(&sel, ctx.sim));
           SIRIUS_ASSIGN_OR_RETURN(
               current,
               gdf::GatherTable(ctx, current, sel, sim::OpCategory::kFilter));
@@ -795,23 +753,7 @@ class PipelineRunner {
       for (int k : node.left_keys) lkeys.push_back(left->column(k));
       for (int k : node.right_keys) rkeys.push_back(right->column(k));
       gdf::JoinOptions options;
-      switch (node.join_type) {
-        case plan::JoinType::kInner:
-          options.type = gdf::JoinType::kInner;
-          break;
-        case plan::JoinType::kLeft:
-          options.type = gdf::JoinType::kLeft;
-          break;
-        case plan::JoinType::kSemi:
-          options.type = gdf::JoinType::kSemi;
-          break;
-        case plan::JoinType::kAnti:
-          options.type = gdf::JoinType::kAnti;
-          break;
-        case plan::JoinType::kCross:
-        case plan::JoinType::kAsof:
-          break;
-      }
+      SIRIUS_ASSIGN_OR_RETURN(options.type, HashJoinType(node.join_type));
       if (node.residual != nullptr) {
         options.residual = node.residual.get();
         options.left_table = left;
@@ -819,11 +761,7 @@ class PipelineRunner {
       }
       SIRIUS_ASSIGN_OR_RETURN(pairs, gdf::HashJoin(ctx, lkeys, rkeys, options));
     }
-    // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
-    std::vector<uint64_t> engine_left =
-        BufferManager::FromGdfIndices(pairs.left_indices, ctx.sim);
-    SIRIUS_ASSIGN_OR_RETURN(
-        pairs.left_indices, BufferManager::ToGdfIndices(engine_left, ctx.sim));
+    SIRIUS_RETURN_NOT_OK(CrossIndexBoundary(&pairs.left_indices, ctx.sim));
 
     const bool emits_right = node.join_type == plan::JoinType::kInner ||
                              node.join_type == plan::JoinType::kLeft ||
@@ -853,20 +791,10 @@ class PipelineRunner {
       case SinkKind::kAggregate: {
         const PlanNode& node = *p.sink_node;
         std::vector<ColumnPtr> keys;
-        std::vector<std::string> key_names;
-        for (size_t k = 0; k < node.group_by.size(); ++k) {
-          keys.push_back(current->column(node.group_by[k]));
-          key_names.push_back(node.output_schema.field(k).name);
-        }
-        std::vector<gdf::AggRequest> aggs;
-        for (size_t a = 0; a < node.aggregates.size(); ++a) {
-          gdf::AggRequest req;
-          req.kind = host::ToGdfAgg(node.aggregates[a].func);
-          req.column = node.aggregates[a].arg_column;
-          req.name = node.output_schema.field(node.group_by.size() + a).name;
-          aggs.push_back(std::move(req));
-        }
-        return gdf::GroupByAggregate(ctx, keys, key_names, current, aggs);
+        for (int k : node.group_by) keys.push_back(current->column(k));
+        const AggregateSpec spec = MakeAggregateSpec(node);
+        return gdf::GroupByAggregate(ctx, keys, spec.key_names, current,
+                                     spec.aggs);
       }
       case SinkKind::kSort: {
         const PlanNode& node = *p.sink_node;
@@ -1051,22 +979,8 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
                           options_.profile.fixed_query_overhead_s);
   }
 
-  // Fused-stage compile: one decision per pipeline. A firing fault at the
-  // compile site degrades this query to materialized execution (graceful
-  // fallback, counted) instead of failing it.
-  bool fusion_on = options_.fusion;
-  if (fusion_on) {
-    Status fuse_st = injector()->Check(kSiteFuseCompile);
-    if (!fuse_st.ok()) {
-      fusion_on = false;
-      counters_.fusion_fallbacks->Add();
-      if (recorder != nullptr) {
-        recorder->AddCounter("engine.fusion_fallbacks");
-      }
-    }
-  }
-  const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
-      pipelines, options_.device, options_.data_scale, fusion_on);
+  const std::vector<FusedStage> stages =
+      FusedStageCompiler::Compile(pipelines, options_.fusion);
 
   PipelineRunner::SpillCounters spill_counters;
   spill_counters.host = counters_.spill_host;
@@ -1077,25 +991,29 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
                         counters_.race_violations, recorder.get(),
                         limits.any() ? &limits : nullptr,
                         counters_.deadline_cancels, counters_.fused_stages);
-  Result<TablePtr> table = runner.Run(pipelines, stages, result_id,
-                                      &result.timeline, &result.kernels,
-                                      result.timeline.total_seconds());
+  auto run = [&] {
+    return runner.Run(pipelines, stages, result_id, &result.timeline,
+                      &result.kernels, result.timeline.total_seconds());
+  };
+  // One more run after dropping the caching region (base columns re-load
+  // from the host), marked in the trace by `counter` and an `instant`.
+  auto evict_and_rerun = [&](const char* counter, const char* instant) {
+    counters_.evictions_under_pressure->Add(buffer_manager_.EvictAll());
+    counters_.pipeline_retries->Add();
+    if (recorder != nullptr) {
+      recorder->AddCounter(counter);
+      recorder->AddInstant(recorder->RegisterTrack("engine"), instant,
+                           "engine", result.timeline.total_seconds());
+    }
+    return run();
+  };
+  Result<TablePtr> table = run();
   if (!table.ok() && table.status().IsOutOfMemory()) {
     counters_.oom_events->Add();
+    // Device-memory pressure recovery: one more chance before the host
+    // falls back to its CPU engine (§3.4).
     if (options_.retry_after_evict) {
-      // Device-memory pressure recovery: drop the caching region (base
-      // columns re-load from the host) and give the pipeline set one more
-      // chance before the host falls back to its CPU engine (§3.4).
-      counters_.evictions_under_pressure->Add(buffer_manager_.EvictAll());
-      counters_.pipeline_retries->Add();
-      if (recorder != nullptr) {
-        recorder->AddCounter("engine.pipeline_retries");
-        recorder->AddInstant(recorder->RegisterTrack("engine"),
-                             "oom-evict-retry", "engine",
-                             result.timeline.total_seconds());
-      }
-      table = runner.Run(pipelines, stages, result_id, &result.timeline,
-                         &result.kernels, result.timeline.total_seconds());
+      table = evict_and_rerun("engine.pipeline_retries", "oom-evict-retry");
     }
   } else if (!table.ok() && table.status().IsUnavailable() &&
              runner.tier_loss_seen() && options_.retry_after_evict) {
@@ -1105,17 +1023,8 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
     // OOM path. A second loss propagates, so the serving layer can re-admit
     // the query or the host can fall back to its CPU engine.
     tiers_.ReviveLostTiers();
-    counters_.evictions_under_pressure->Add(buffer_manager_.EvictAll());
-    counters_.pipeline_retries->Add();
     counters_.tier_loss_retries->Add();
-    if (recorder != nullptr) {
-      recorder->AddCounter("engine.tier_loss_retries");
-      recorder->AddInstant(recorder->RegisterTrack("engine"),
-                           "tier-loss-retry", "engine",
-                           result.timeline.total_seconds());
-    }
-    table = runner.Run(pipelines, stages, result_id, &result.timeline,
-                       &result.kernels, result.timeline.total_seconds());
+    table = evict_and_rerun("engine.tier_loss_retries", "tier-loss-retry");
   }
   tiers_.PublishGauges(&metrics_);
   SIRIUS_ASSIGN_OR_RETURN(result.table, std::move(table));
@@ -1148,7 +1057,6 @@ SiriusEngine::Stats SiriusEngine::stats() const {
   s.race_violations = get("engine.race_violations");
   s.deadline_cancels = get("engine.deadline_cancels");
   s.fused_stages = get("engine.fused_stages");
-  s.fusion_fallbacks = get("engine.fusion_fallbacks");
   return s;
 }
 
@@ -1201,9 +1109,8 @@ Result<format::TablePtr> SiriusEngine::VectorSearch(
 Result<std::string> SiriusEngine::ExplainPipelines(const PlanPtr& plan) const {
   std::vector<Pipeline> pipelines;
   SIRIUS_RETURN_NOT_OK(PipelineCompiler::Compile(plan, &pipelines).status());
-  const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
-      pipelines, options_.device, options_.data_scale, options_.fusion);
-  return PipelinesToString(pipelines, &stages);
+  return PipelinesToString(
+      pipelines, FusedStageCompiler::Compile(pipelines, options_.fusion));
 }
 
 }  // namespace sirius::engine

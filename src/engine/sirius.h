@@ -138,7 +138,6 @@ class SiriusEngine : public host::Accelerator {
     uint64_t race_violations = 0;    ///< hazards flagged by the race checker
     uint64_t deadline_cancels = 0;   ///< mid-pipeline ExecLimits cancellations
     uint64_t fused_stages = 0;       ///< fused single-pass stage executions
-    uint64_t fusion_fallbacks = 0;   ///< fused compiles degraded to materialized
   };
 
   /// `host_db` supplies base tables (the paper: "Sirius relies on the host
@@ -216,7 +215,6 @@ class SiriusEngine : public host::Accelerator {
     obs::Counter* race_violations = nullptr;
     obs::Counter* deadline_cancels = nullptr;
     obs::Counter* fused_stages = nullptr;
-    obs::Counter* fusion_fallbacks = nullptr;
   };
 
   fault::FaultInjector* injector() const {

@@ -589,26 +589,26 @@ TEST(Cluster, RouteFault) { inj.Arm("cluster.route", spec); }
 }
 
 TEST(FaultSiteTest, EngineFuseFamilyIsAudited) {
-  // The fused-execution fault site lives in the "engine.*" family: a typo'd
-  // literal against the injector is flagged, an unswept registration is
-  // flagged, and the fully-covered engine.fuse.compile site stays clean.
+  // Synthetic "engine.fuse.*" sites audit like any "engine.*" family: a
+  // typo'd literal against the injector is flagged, an unswept registration
+  // is flagged, and the fully-covered engine.fuse.stage site stays clean.
   AnalyzerInput in;
   in.files["src/engine/mini.cc"] = R"cc(
-SIRIUS_FAULT_DEFINE_SITE(kFuseCompile, "engine.fuse.compile");
+SIRIUS_FAULT_DEFINE_SITE(kFuseStage, "engine.fuse.stage");
 SIRIUS_FAULT_DEFINE_SITE(kFusePlan, "engine.fuse.plan");
 Status Engine::Compile(FaultInjector* inj) {
-  SIRIUS_RETURN_NOT_OK(inj->Check("engine.fuse.compil"));
+  SIRIUS_RETURN_NOT_OK(inj->Check("engine.fuse.stag"));
   return Status::OK();
 }
 )cc";
   in.files["tests/mini_fusion_test.cc"] = R"cc(
-TEST(Fusion, CompileFaultFallsBack) { inj.Arm("engine.fuse.compile", spec); }
+TEST(Fusion, StageFaultFallsBack) { inj.Arm("engine.fuse.stage", spec); }
 )cc";
-  in.design_md = "fault sites: engine.fuse.compile, engine.fuse.plan\n";
+  in.design_md = "fault sites: engine.fuse.stage, engine.fuse.plan\n";
   const auto fs = RunAnalyze(in);
-  EXPECT_TRUE(Has(fs, kRuleFaultSiteCoverage, "engine.fuse.compil"));
+  EXPECT_TRUE(Has(fs, kRuleFaultSiteCoverage, "engine.fuse.stag"));
   EXPECT_TRUE(Has(fs, kRuleFaultSiteCoverage, "no test coverage"));
-  EXPECT_FALSE(Has(fs, kRuleFaultSiteCoverage, "\"engine.fuse.compile\" has no"));
+  EXPECT_FALSE(Has(fs, kRuleFaultSiteCoverage, "\"engine.fuse.stage\" has no"));
 }
 
 TEST(SuppressionTest, EngineSuppressionIsStillCollected) {

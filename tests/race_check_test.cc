@@ -12,6 +12,7 @@
 
 #include "engine/buffer_manager.h"
 #include "engine/sirius.h"
+#include "format/encoding.h"
 #include "mem/buffer.h"
 #include "sim/device.h"
 #include "sim/timeline.h"
@@ -277,16 +278,19 @@ TEST_F(BufferManagerLifetimeTest, ReloadAfterEvictMintsNewGeneration) {
 
 TEST_F(BufferManagerLifetimeTest, PinnedColumnBlocksEviction) {
   const format::TablePtr table = NationTable();
-  const uint64_t col_bytes =
-      std::max(table->column(0)->MemoryUsage(), table->column(1)->MemoryUsage());
-  // Caching region fits one column but not two.
+  // The caching region holds columns encoded; size it from those bytes so
+  // it fits either column alone but not both.
+  auto encoded_bytes = [&table](int c) {
+    return format::Encode(table->column(c)).ValueOrDie().CompressedBytes();
+  };
+  const uint64_t col0 = encoded_bytes(0);
+  const uint64_t col1 = encoded_bytes(1);
   engine::BufferManager::Options options;
-  options.compress_cache = false;
-  options.device_capacity_bytes = 3 * col_bytes;
+  options.device_capacity_bytes = 2 * (col0 + col1 - 1);
   options.cache_fraction = 0.5;
   engine::BufferManager bm{options};
-  ASSERT_GE(bm.cache_capacity_bytes(), col_bytes);
-  ASSERT_LT(bm.cache_capacity_bytes(), 2 * col_bytes);
+  ASSERT_GE(bm.cache_capacity_bytes(), std::max(col0, col1));
+  ASSERT_LT(bm.cache_capacity_bytes(), col0 + col1);
 
   sim::Timeline timeline;
   sim::SimContext sim;
