@@ -1,6 +1,7 @@
 #include "engine/buffer_manager.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace sirius::engine {
 
@@ -28,33 +29,31 @@ bool BufferManager::EvictUntilFits(uint64_t needed,
   };
   while (cached_modeled_bytes_ + needed > cache_capacity_) {
     // Find the least-recently-used unpinned entry.
-    auto victim = lru_.end();
-    for (auto it = std::prev(lru_.end());; --it) {
-      if (!is_pinned(*it)) {
-        victim = it;
-        break;
-      }
-      if (it == lru_.begin()) break;
-    }
-    if (victim == lru_.end()) return false;
-    auto entry = cache_.find(*victim);
-    // Retire the generation: any handle stamped with it is now stale, and
-    // validating one reports use-after-evict.
-    mem::LifetimeTracker::Global().OnFree(entry->second.generation);
-    if (hazards != nullptr) {
-      hazards->ReleaseResource(entry->second.generation);
-    }
-    cached_modeled_bytes_ -= entry->second.modeled_bytes;
+    auto victim = std::find_if(lru_.rbegin(), lru_.rend(),
+                               [&](const CacheKey& k) { return !is_pinned(k); });
+    if (victim == lru_.rend()) return false;
+    const uint64_t bytes = Retire(cache_.find(*victim), hazards);
     // In a tiered system a pressure eviction is a writeback (the column
     // re-loads from the tier below); account it for the per-tier gauges.
-    if (options_.tiers != nullptr) {
-      options_.tiers->NoteEvictionWriteback(entry->second.modeled_bytes);
-    }
-    cache_.erase(entry);
-    lru_.erase(victim);
+    if (options_.tiers != nullptr) options_.tiers->NoteEvictionWriteback(bytes);
     ++evictions_;
   }
   return true;
+}
+
+uint64_t BufferManager::Retire(EntryMap::iterator it,
+                               sim::HazardTracker* hazards) {
+  const CacheEntry& entry = it->second;
+  // Retire the generation: any handle stamped with it is now stale, and
+  // validating one reports use-after-evict. OnFree also flags
+  // free-while-pinned when a kernel still holds the column.
+  mem::LifetimeTracker::Global().OnFree(entry.generation);
+  if (hazards != nullptr) hazards->ReleaseResource(entry.generation);
+  const uint64_t bytes = entry.modeled_bytes;
+  cached_modeled_bytes_ -= bytes;
+  lru_.erase(entry.lru_pos);
+  cache_.erase(it);
+  return bytes;
 }
 
 Result<TablePtr> BufferManager::GetOrCacheColumns(
@@ -81,21 +80,25 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
                                 std::to_string(c));
     }
     schema.AddField(host_table->schema().field(c));
+    const ColumnPtr& host_col = host_table->column(c);
     auto it = cache_.find(keys[i]);
+    if (it != cache_.end() && it->second.source != host_col) {
+      // Loaded from another version of the table: stale, reload.
+      Retire(it, sim.hazards);
+      it = cache_.end();
+    }
     if (it == cache_.end()) {
       ++misses;
       // Cold column: load over the host link, encode into the caching
-      // region (lightweight compression, §3.4).
-      const ColumnPtr& host_col = host_table->column(c);
-      const uint64_t raw = host_col->MemoryUsage();
+      // region (lightweight compression, §3.4) and decode once.
       CacheEntry entry;
+      entry.source = host_col;
       SIRIUS_ASSIGN_OR_RETURN(format::EncodedColumn encoded,
                               format::Encode(host_col));
-      entry.encoded =
-          std::make_shared<format::EncodedColumn>(std::move(encoded));
+      SIRIUS_ASSIGN_OR_RETURN(entry.decoded, format::Decode(encoded));
+      entry.compressed_bytes = encoded.CompressedBytes();
       entry.modeled_bytes = static_cast<uint64_t>(
-          static_cast<double>(entry.encoded->CompressedBytes()) *
-          sim.data_scale);
+          static_cast<double>(entry.compressed_bytes) * sim.data_scale);
       if (!EvictUntilFits(entry.modeled_bytes, keys, sim.hazards)) {
         return Status::OutOfMemory(
             "caching region cannot fit column " + name + "." +
@@ -113,7 +116,7 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
         entry.ready_event = sim.hazards->RecordEvent(sim.stream);
         entry.ready_tracker = sim.hazards->id();
       }
-      cold_bytes_raw += raw;
+      cold_bytes_raw += host_col->MemoryUsage();
       lru_.push_front(keys[i]);
       entry.lru_pos = lru_.begin();
       cached_modeled_bytes_ += entry.modeled_bytes;
@@ -139,16 +142,15 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
       }
     }
 
-    // Decode on access: reads the compressed bytes at device bandwidth plus
-    // a per-value unpack op (FastLanes-style in-register decode).
-    const format::EncodedColumn& encoded = *it->second.encoded;
-    SIRIUS_ASSIGN_OR_RETURN(ColumnPtr decoded, format::Decode(encoded));
+    // Decode scan: reads the compressed bytes at device bandwidth plus a
+    // per-value unpack op (FastLanes-style in-register decode).
+    const CacheEntry& entry = it->second;
     sim::KernelCost cost;
-    cost.seq_bytes = encoded.CompressedBytes() + decoded->MemoryUsage();
-    cost.rows = decoded->length();
+    cost.seq_bytes = entry.compressed_bytes + entry.decoded->MemoryUsage();
+    cost.rows = entry.decoded->length();
     cost.ops_per_row = 2.0;
     sim.Charge(sim::OpCategory::kScan, cost);
-    out.push_back(std::move(decoded));
+    out.push_back(entry.decoded);
   }
   if (cold_bytes_raw > 0) {
     // Cold-path host->device transfer, bracketed by a "buffer" span so a
@@ -174,15 +176,15 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
 size_t BufferManager::EvictAll() {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t evicted = cache_.size();
-  for (const auto& [key, entry] : cache_) {
-    // OnFree flags free-while-pinned when a kernel still holds the column.
-    mem::LifetimeTracker::Global().OnFree(entry.generation);
-  }
-  cache_.clear();
-  lru_.clear();
-  cached_modeled_bytes_ = 0;
+  while (!cache_.empty()) Retire(cache_.begin(), nullptr);
   evictions_ += evicted;
   return evicted;
+}
+
+void BufferManager::DropTable(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = cache_.lower_bound({name, std::numeric_limits<int>::min()});
+  while (it != cache_.end() && it->first.table == name) Retire(it++, nullptr);
 }
 
 Result<BufferManager::ColumnHandle> BufferManager::HandleFor(

@@ -2,12 +2,17 @@
 //
 // Splits device memory into a pre-allocated *caching* region (input
 // columns, hot across queries) and an RMM-pool *processing* region
-// (intermediates). Caching is column-granular with LRU eviction, and cached
-// data is held lightweight-compressed (paper §3.4 cites FastLanes-class
-// compression as the capacity lever; we model its ratio). Also owns the
-// format boundaries: encoding the host database's columns on cold load,
-// and the uint64 (engine) <-> int32 (GDF/libcudf) row index conversion the
-// paper calls out.
+// (intermediates). Caching is column-granular with LRU eviction. A column
+// is encoded lightweight-compressed on cold load (paper §3.4 cites
+// FastLanes-class compression as the capacity lever) and decoded once,
+// right there; the entry keeps the decoded column and the compressed byte
+// count. Capacity is accounted in compressed bytes, and every access
+// charges the in-register decode scan from the stored sizes, so a hot scan
+// costs the modeled device the same as decoding on access without redoing
+// the host work. Entries are valid for the host column they were loaded
+// from: a replaced table's entries are dropped (DropTable) and a hit whose
+// host column changed reloads. Also owns the uint64 (engine) <-> int32
+// (GDF/libcudf) row index conversion the paper calls out.
 
 #pragma once
 
@@ -60,8 +65,10 @@ class BufferManager {
   /// \brief Returns the requested columns of `name` as a device-resident
   /// table, loading missing columns from `host_table` over the host link.
   ///
-  /// Cold columns charge transfer time to `sim`; hot columns charge nothing
-  /// (the evaluation's "hot run" methodology, §4.1). When the caching
+  /// Every column charges its decode scan to `sim`; cold columns also
+  /// charge the transfer (hot runs pay no load, §4.1). A cached column
+  /// whose source is not `host_table`'s column (another version of the
+  /// table) is dropped and reloaded. When the caching
   /// region is full, least-recently-used columns are evicted; if the
   /// requested columns alone cannot fit, returns OutOfMemory (the
   /// out-of-core batch path or host fallback takes over, §3.4).
@@ -74,6 +81,11 @@ class BufferManager {
   /// the number of columns evicted. Evicting a pinned column is a diagnosed
   /// lifetime violation (a kernel may still be reading it).
   size_t EvictAll();
+
+  /// Drops every cached column of table `name` (the host replaced it). Not
+  /// counted as evictions, and not a tier writeback: the old version is
+  /// gone, not written back.
+  void DropTable(const std::string& name);
 
   /// True when column `col` of `name` is resident.
   bool IsCached(const std::string& name, int col = 0) const;
@@ -154,10 +166,17 @@ class BufferManager {
     }
   };
   struct CacheEntry {
-    /// Lightweight-compressed representation (FOR-bitpack / dictionary,
-    /// §3.4); scans decode on access at modeled bandwidth.
-    std::shared_ptr<format::EncodedColumn> encoded;
-    uint64_t modeled_bytes = 0;  ///< resident (compressed) bytes * data_scale
+    /// The host column this entry was loaded from; the entry is valid only
+    /// while the host table still holds it. Holding it keeps its address
+    /// from being reused by another column while the entry lives.
+    format::ColumnPtr source;
+    /// The column decoded once at load from its lightweight-compressed form
+    /// (FOR-bitpack / dictionary, §3.4). Scans return it as is.
+    format::ColumnPtr decoded;
+    /// Encoded size, bytes: with `decoded`'s size, what each access charges
+    /// for reading the compressed column and unpacking it.
+    uint64_t compressed_bytes = 0;
+    uint64_t modeled_bytes = 0;  ///< resident bytes: compressed * data_scale
     std::list<CacheKey>::iterator lru_pos;
     /// LifetimeTracker generation minted at load, retired at eviction.
     uint64_t generation = 0;
@@ -179,6 +198,14 @@ class BufferManager {
   bool EvictUntilFits(uint64_t needed, const std::vector<CacheKey>& pinned,
                       sim::HazardTracker* hazards);
 
+  using EntryMap = std::map<CacheKey, CacheEntry>;
+
+  /// Caller holds mu_. Removes `it` from the cache: retires its generation
+  /// (handles stamped with it go stale), releases its resource in `hazards`
+  /// (may be null) and unlinks it from the LRU list. Returns its modeled
+  /// bytes, already subtracted from cached_modeled_bytes_.
+  uint64_t Retire(EntryMap::iterator it, sim::HazardTracker* hazards);
+
   Options options_;
   uint64_t cache_capacity_;
   uint64_t processing_capacity_;
@@ -187,7 +214,7 @@ class BufferManager {
   mem::ReservationPool processing_reservations_;
 
   mutable std::mutex mu_;
-  std::map<CacheKey, CacheEntry> cache_;
+  EntryMap cache_;
   std::list<CacheKey> lru_;  ///< front = most recent
   uint64_t cached_modeled_bytes_ = 0;
   uint64_t evictions_ = 0;

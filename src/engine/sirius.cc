@@ -63,9 +63,15 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
     options_.profile.join_eff *= 1.15;
     options_.profile.groupby_eff *= 1.2;
   }
+  // A replaced table's cached columns go at the write, so they neither hold
+  // modeled capacity nor report the old version resident.
+  write_listener_ = host_db_->catalog().AddWriteListener(
+      [this](const std::string& name) { buffer_manager_.DropTable(name); });
 }
 
-SiriusEngine::~SiriusEngine() = default;
+SiriusEngine::~SiriusEngine() {
+  host_db_->catalog().RemoveWriteListener(write_listener_);
+}
 
 namespace {
 
@@ -459,7 +465,7 @@ class PipelineRunner {
       all = outputs[0];
     } else {
       SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
-      if (Fused(p)) SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all, p, ctx));
+      SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all, p, ctx));
     }
     return RunSink(p, std::move(all), ctx);
   }

@@ -141,7 +141,8 @@ class SiriusEngine : public host::Accelerator {
   };
 
   /// `host_db` supplies base tables (the paper: "Sirius relies on the host
-  /// database to read data from disk", §3.2.3). Not owned.
+  /// database to read data from disk", §3.2.3). Not owned; must outlive the
+  /// engine, which listens to its catalog's writes.
   SiriusEngine(host::Database* host_db, Options options);
   ~SiriusEngine() override;
 
@@ -223,6 +224,8 @@ class SiriusEngine : public host::Accelerator {
   }
 
   host::Database* host_db_;
+  /// Catalog write listener that drops a replaced table's cache entries.
+  uint64_t write_listener_ = 0;
   Options options_;
   mem::TierManager tiers_;  ///< before buffer_manager_, which points at it
   BufferManager buffer_manager_;

@@ -8,11 +8,26 @@ namespace sirius::host {
 
 Status Catalog::CreateTable(const std::string& name, format::TablePtr table) {
   if (table == nullptr) return Status::Invalid("CreateTable: null table");
-  std::lock_guard<std::mutex> lock(mu_);
-  tables_[name] = std::move(table);
-  ndv_cache_.clear();  // stats for a replaced table are stale
-  ++version_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tables_[name] = std::move(table);
+    ndv_cache_.clear();  // stats for a replaced table are stale
+    ++version_;
+  }
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  for (const auto& entry : listeners_) entry.second(name);
   return Status::OK();
+}
+
+uint64_t Catalog::AddWriteListener(WriteListener listener) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  listeners_.emplace(next_listener_, std::move(listener));
+  return next_listener_++;
+}
+
+void Catalog::RemoveWriteListener(uint64_t id) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  listeners_.erase(id);
 }
 
 uint64_t Catalog::version() const {

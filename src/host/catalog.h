@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,8 +19,18 @@ namespace sirius::host {
 /// and the optimizer's statistics provider.
 class Catalog : public sql::CatalogInterface, public opt::StatsProvider {
  public:
-  /// Registers (or replaces) a table.
+  /// Registers (or replaces) a table, then calls every write listener with
+  /// its name.
   Status CreateTable(const std::string& name, format::TablePtr table);
+
+  /// Called after CreateTable registered table `name`, outside the catalog
+  /// lock, so a cache built from the table it replaced can drop it at once.
+  using WriteListener = std::function<void(const std::string& name)>;
+  /// Registers `listener`; returns the id RemoveWriteListener takes.
+  uint64_t AddWriteListener(WriteListener listener);
+  /// Unregisters a listener. Returns only once no call to it is running, so
+  /// the listener's owner may be destroyed right after.
+  void RemoveWriteListener(uint64_t id);
 
   Result<format::TablePtr> GetTable(const std::string& name) const;
   Result<format::Schema> GetTableSchema(const std::string& name) const override;
@@ -44,6 +55,12 @@ class Catalog : public sql::CatalogInterface, public opt::StatsProvider {
   std::map<std::string, format::TablePtr> tables_;
   uint64_t version_ = 0;  ///< guarded by mu_
   mutable std::map<std::string, double> ndv_cache_;  ///< "table.column" -> ndv
+
+  /// Held while listeners run, so RemoveWriteListener waits for a running
+  /// call to finish.
+  std::mutex listeners_mu_;
+  std::map<uint64_t, WriteListener> listeners_;  ///< guarded by listeners_mu_
+  uint64_t next_listener_ = 0;                   ///< guarded by listeners_mu_
 };
 
 }  // namespace sirius::host

@@ -62,6 +62,7 @@ Result<QueryResult> Database::ExecutePlanRouted(const plan::PlanPtr& plan) {
                      << "); falling back to CPU";
     SIRIUS_ASSIGN_OR_RETURN(QueryResult result, ExecutePlanCpu(plan));
     result.fell_back = true;
+    result.fallback_reason = accelerated.status();
     return result;
   }
   return ExecutePlanCpu(plan);

@@ -29,6 +29,9 @@ struct QueryResult {
   bool accelerated = false;
   /// True when the accelerator rejected the plan and the CPU engine ran it.
   bool fell_back = false;
+  /// Why the accelerator rejected the plan (its status code and message)
+  /// when `fell_back`; OK otherwise.
+  Status fallback_reason;
   /// Per-query trace snapshot (span tree + metrics over simulated time).
   /// Null when the engine ran with tracing off or the CPU path executed.
   std::shared_ptr<obs::QueryProfile> profile;

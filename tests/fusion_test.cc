@@ -480,5 +480,28 @@ TEST_F(FusionEngineTest, OutOfCoreFusedMatchesInCore) {
   EXPECT_EQ(small_unfused.stats().fused_stages, 0u);
 }
 
+// Out of core, each batch fits the processing region but the concatenated
+// batches do not: that materialized intermediate is fit-checked, so it
+// spills with fusion off exactly as with fusion on.
+TEST_F(FusionEngineTest, OutOfCoreConcatenationSpillsWithFusionOnOrOff) {
+  auto ooc_opts = BaseOptions();
+  ooc_opts.out_of_core = true;
+  ooc_opts.device.mem_capacity_gib = 0.0005;
+  auto plan = db()->PlanSql(tpch::Query(6)).ValueOrDie();
+  auto want = engine::SiriusEngine(db(), BaseOptions()).ExecutePlan(plan);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (bool fusion : {true, false}) {
+    auto opts = ooc_opts;
+    opts.fusion = fusion;
+    engine::SiriusEngine small(db(), opts);
+    auto got = small.ExecutePlan(plan);
+    ASSERT_TRUE(got.ok()) << "fusion=" << fusion << ": "
+                          << got.status().ToString();
+    EXPECT_TRUE(got.ValueOrDie().table->Equals(*want.ValueOrDie().table))
+        << "fusion=" << fusion;
+    EXPECT_EQ(small.stats().spill_events, 1u) << "fusion=" << fusion;
+  }
+}
+
 }  // namespace
 }  // namespace sirius

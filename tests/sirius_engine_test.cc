@@ -94,6 +94,46 @@ TEST(SiriusEngineTest, GracefulFallbackOnUnsupportedFeature) {
   EXPECT_TRUE(cpu.table->Equals(*r.ValueOrDie().table));
 }
 
+/// An accelerator that declines every plan with one fixed status.
+class DecliningAccelerator : public host::Accelerator {
+ public:
+  Result<host::QueryResult> ExecuteSubstrait(const std::string&) override {
+    return Status::UnsupportedOnDevice("no device kernel for this plan");
+  }
+  std::string name() const override { return "declining"; }
+};
+
+TEST(SiriusEngineTest, FallbackReasonCarriesTheDeclineStatus) {
+  host::Database* db = SharedDb();
+  DecliningAccelerator declining;
+  db->SetAccelerator(&declining);
+  auto r = db->Query(tpch::Query(6));
+  db->SetAccelerator(nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.ValueOrDie().fell_back);
+  const Status& reason = r.ValueOrDie().fallback_reason;
+  EXPECT_EQ(reason.code(), StatusCode::kUnsupportedOnDevice);
+  EXPECT_EQ(reason.message(), "no device kernel for this plan");
+
+  // A capability gate reports its own reason; an accelerated run reports none.
+  engine::SiriusEngine::Options options;
+  options.capabilities.avg = false;
+  engine::SiriusEngine limited(db, options);
+  db->SetAccelerator(&limited);
+  auto gated = db->Query(tpch::Query(1));  // Q1 uses avg
+  db->SetAccelerator(SharedEngine());
+  auto accelerated = db->Query(tpch::Query(6));
+  db->SetAccelerator(nullptr);
+  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
+  EXPECT_EQ(gated.ValueOrDie().fallback_reason.code(),
+            StatusCode::kUnsupportedOnDevice);
+  EXPECT_NE(gated.ValueOrDie().fallback_reason.message().find("avg"),
+            std::string::npos)
+      << gated.ValueOrDie().fallback_reason.ToString();
+  ASSERT_TRUE(accelerated.ok()) << accelerated.status().ToString();
+  EXPECT_TRUE(accelerated.ValueOrDie().fallback_reason.ok());
+}
+
 TEST(SiriusEngineTest, FallbackNotTriggeredWhenSupported) {
   host::Database* db = SharedDb();
   db->SetAccelerator(SharedEngine());
